@@ -60,24 +60,6 @@ double Rng::next_double() {
 
 bool Rng::next_bool(double p) { return next_double() < p; }
 
-double Rng::next_gaussian() {
-  if (have_gauss_) {
-    have_gauss_ = false;
-    return spare_gauss_;
-  }
-  double u1 = 0.0;
-  while (u1 <= 1e-300) u1 = next_double();
-  const double u2 = next_double();
-  const double mag = std::sqrt(-2.0 * std::log(u1));
-  spare_gauss_ = mag * std::sin(2.0 * M_PI * u2);
-  have_gauss_ = true;
-  return mag * std::cos(2.0 * M_PI * u2);
-}
-
-double Rng::next_lognormal(double mu, double sigma) {
-  return std::exp(mu + sigma * next_gaussian());
-}
-
 double Rng::next_exponential(double rate) {
   double u = 1.0 - next_double();
   if (u <= 1e-300) u = 1e-300;

@@ -32,12 +32,6 @@ class Rng {
   /// Bernoulli draw with probability p of returning true.
   bool next_bool(double p);
 
-  /// Standard normal via Box-Muller.
-  double next_gaussian();
-
-  /// Lognormal draw with the given parameters of the underlying normal.
-  double next_lognormal(double mu, double sigma);
-
   /// Exponential draw with the given rate (mean 1/rate).
   double next_exponential(double rate);
 
@@ -66,8 +60,6 @@ class Rng {
 
  private:
   std::uint64_t s_[4];
-  bool have_gauss_ = false;
-  double spare_gauss_ = 0.0;
 };
 
 }  // namespace whisper

@@ -115,7 +115,6 @@ class MontgomeryCtx {
   explicit MontgomeryCtx(const BigInt& modulus);
 
   const BigInt& modulus() const { return modulus_; }
-  std::size_t limb_count() const { return n_.size(); }
 
   /// (base ^ exp) mod modulus. Fixed-window for large exponents, plain
   /// left-to-right binary for short ones (e.g. e = 65537), where building

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "common/log.hpp"
-
 namespace whisper::nylon {
 
 namespace {

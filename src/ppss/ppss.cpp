@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/log.hpp"
 #include "crypto/sha256.hpp"
 
 namespace whisper::ppss {
@@ -699,8 +698,6 @@ void Ppss::register_app(std::uint8_t app_id, AppHandler handler) {
 void Ppss::make_persistent(const wcl::RemotePeer& peer) {
   pcp_[peer.card.id] = PinnedPeer{peer, 0};
 }
-
-void Ppss::drop_persistent(NodeId id) { pcp_.erase(id); }
 
 std::optional<wcl::RemotePeer> Ppss::persistent_peer(NodeId id) const {
   auto it = pcp_.find(id);

@@ -138,7 +138,6 @@ class Ppss {
 
   // --- Persistent connection pool (§IV-C). ---
   void make_persistent(const wcl::RemotePeer& peer);
-  void drop_persistent(NodeId id);
   std::optional<wcl::RemotePeer> persistent_peer(NodeId id) const;
   std::size_t pcp_size() const { return pcp_.size(); }
 

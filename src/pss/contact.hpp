@@ -40,9 +40,6 @@ struct ContactCard {
     c.relay_id = r.node_id();
     return c;
   }
-
-  /// Serialized size on the wire.
-  static constexpr std::size_t kWireSize = 8 + 6 + 1 + 8;
 };
 
 }  // namespace whisper::pss

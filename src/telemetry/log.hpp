@@ -6,9 +6,8 @@
 // whisper_localnet so supervisor post-mortems are machine-parseable:
 // timestamps are monotonic microseconds (comparable across processes on one
 // host — CLOCK_MONOTONIC is boot-relative), every line carries the node id,
-// and fields are typed. Distinct from common/log.hpp (the printf-style
-// library-internal debug logger): this sink is for the operational event
-// stream of the tools.
+// and fields are typed. This is the project's one logger; the protocol
+// libraries themselves do not log.
 #pragma once
 
 #include <cstdint>

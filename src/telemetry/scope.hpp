@@ -52,11 +52,6 @@ class Scope {
 
   // --- Causal flight recording (no-ops until the testbed enables it). ---
   bool flight_enabled() const { return flight_ != nullptr && flight_->enabled(); }
-  /// The ambient context armed by the network around the current handler
-  /// (invalid outside a traced delivery).
-  TraceContext flight_context() const {
-    return flight_ != nullptr ? flight_->context() : TraceContext{};
-  }
 
   /// Emit a complete event on this node's timeline. `ts` is the event's
   /// virtual start time; `dur` its virtual duration (often the processing

@@ -175,12 +175,6 @@ pss::OverlayGraph WhisperTestbed::overlay_snapshot() {
   return graph;
 }
 
-WhisperNode* WhisperTestbed::random_node() {
-  auto alive = alive_nodes();
-  if (alive.empty()) return nullptr;
-  return alive[rng_.pick_index(alive)];
-}
-
 std::vector<Endpoint> WhisperTestbed::relay_endpoints() {
   std::vector<Endpoint> out;
   for (auto& n : nodes_) {

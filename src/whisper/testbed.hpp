@@ -113,9 +113,6 @@ class WhisperTestbed {
   /// Snapshot of the system-wide PSS out-views.
   pss::OverlayGraph overlay_snapshot();
 
-  /// Pick a random live node.
-  WhisperNode* random_node();
-
   /// Install (once) the fault-injection fabric, wired to this testbed's
   /// population: live/relay endpoint resolution, churn-kill for crashes,
   /// NAT-device resets. Idempotent — returns the existing fabric if called

@@ -69,19 +69,6 @@ TEST(Rng, BoolProbability) {
   EXPECT_NEAR(static_cast<double>(heads) / n, 0.3, 0.02);
 }
 
-TEST(Rng, GaussianMoments) {
-  Rng r(17);
-  double sum = 0, sq = 0;
-  const int n = 50000;
-  for (int i = 0; i < n; ++i) {
-    const double v = r.next_gaussian();
-    sum += v;
-    sq += v * v;
-  }
-  EXPECT_NEAR(sum / n, 0.0, 0.03);
-  EXPECT_NEAR(sq / n, 1.0, 0.05);
-}
-
 TEST(Rng, ExponentialMean) {
   Rng r(19);
   double sum = 0;
@@ -132,11 +119,6 @@ TEST(Rng, FillBytesDeterministic) {
   a.fill_bytes(ba, sizeof(ba));
   b.fill_bytes(bb, sizeof(bb));
   EXPECT_EQ(0, memcmp(ba, bb, sizeof(ba)));
-}
-
-TEST(Rng, LognormalPositive) {
-  Rng r(41);
-  for (int i = 0; i < 1000; ++i) EXPECT_GT(r.next_lognormal(0.0, 1.0), 0.0);
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include "crypto/onion.hpp"
 #include "crypto/rsa.hpp"
 #include "nylon/pss.hpp"
-#include "overlay/tman.hpp"
 #include "ppss/group.hpp"
 #include "ppss/ppss.hpp"
 #include "store/state.hpp"
@@ -112,21 +111,13 @@ int main(int argc, char** argv) {
     emit(codecs, "chord_descriptor", 4, w.data());
   }
   {
-    overlay::OverlayDescriptor d;
-    d.key = rng.next_u64();
-    d.peer = sample_peer(rng, key, 1);
-    Writer w;
-    d.serialize(w);
-    emit(codecs, "overlay_descriptor", 5, w.data());
-  }
-  {
     ppss::Passport p;
     p.node = NodeId{7};
     p.epoch = 3;
     p.signature = Bytes(48, 0x5a);
     Writer w;
     p.serialize(w);
-    emit(codecs, "passport", 6, w.data());
+    emit(codecs, "passport", 5, w.data());
   }
   {
     ppss::Accreditation a;
@@ -136,14 +127,14 @@ int main(int argc, char** argv) {
     a.signature = Bytes(48, 0xa5);
     Writer w;
     a.serialize(w);
-    emit(codecs, "accreditation", 7, w.data());
+    emit(codecs, "accreditation", 6, w.data());
   }
-  emit(codecs, "rsa_public_key", 8, key.serialize());
+  emit(codecs, "rsa_public_key", 7, key.serialize());
   {
     crypto::OnionPacket pkt;
     pkt.header = Bytes(40, 0x11);
     pkt.body = Bytes(60, 0x22);
-    emit(codecs, "onion_packet", 9, pkt.serialize());
+    emit(codecs, "onion_packet", 8, pkt.serialize());
   }
 
   // Durable-store seeds (fuzz_store selectors, see fuzz_store.cpp).

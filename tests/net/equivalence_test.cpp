@@ -8,7 +8,6 @@
 
 #include <vector>
 
-#include "net/sim_backend.hpp"
 #include "whisper/realnet.hpp"
 #include "whisper/testbed.hpp"
 

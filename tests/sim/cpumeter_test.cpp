@@ -1,8 +1,8 @@
-#include "sim/cpumeter.hpp"
+#include "net/cpumeter.hpp"
 
 #include <gtest/gtest.h>
 
-namespace whisper::sim {
+namespace whisper::net {
 namespace {
 
 TEST(CpuMeter, ChargeAccumulatesPerCategory) {
@@ -63,4 +63,4 @@ TEST(CpuMeter, ProbeObservesEveryCharge) {
 }
 
 }  // namespace
-}  // namespace whisper::sim
+}  // namespace whisper::net
